@@ -20,16 +20,17 @@
 #include "controller/generator.h"
 #include "core/scenarios.h"
 #include "netsim/simnet.h"
+#include "streaming/sketch.h"
 
 namespace {
 
 using namespace pingmesh;
 
 struct DcHists {
-  LatencyHistogram intra_pod;
-  LatencyHistogram inter_pod;
-  LatencyHistogram payload;           // payload echo RTT (inter-pod)
-  LatencyHistogram inter_no_payload;  // connect RTT of payload-free probes
+  streaming::LatencySketch intra_pod;
+  streaming::LatencySketch inter_pod;
+  streaming::LatencySketch payload;           // payload echo RTT (inter-pod)
+  streaming::LatencySketch inter_no_payload;  // connect RTT of payload-free probes
 };
 
 }  // namespace
@@ -91,11 +92,11 @@ int main(int argc, char** argv) {
   bench::compare_row("DC2 P99.9", "11.07ms",
                      format_latency_ns(dc[1].inter_pod.p999()));
   bench::compare_row("DC1 P99.99", "1397.63ms",
-                     format_latency_ns(dc[0].inter_pod.p9999()));
+                     format_latency_ns(dc[0].inter_pod.quantile(0.9999)));
   bench::compare_row("DC2 P99.99", "105.84ms",
-                     format_latency_ns(dc[1].inter_pod.p9999()));
-  double tail_ratio = static_cast<double>(dc[0].inter_pod.p9999()) /
-                      static_cast<double>(dc[1].inter_pod.p9999());
+                     format_latency_ns(dc[1].inter_pod.quantile(0.9999)));
+  double tail_ratio = static_cast<double>(dc[0].inter_pod.quantile(0.9999)) /
+                      static_cast<double>(dc[1].inter_pod.quantile(0.9999));
   bench::compare_row("P99.99 ratio DC1/DC2 (who wins)", "13.2x",
                      std::to_string(tail_ratio).substr(0, 5) + "x");
 
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
 
   // ---- shape assertions -------------------------------------------------------
   bench::heading("shape checks");
-  bool tail_diverges = dc[0].inter_pod.p9999() > 3 * dc[1].inter_pod.p9999();
+  bool tail_diverges = dc[0].inter_pod.quantile(0.9999) > 3 * dc[1].inter_pod.quantile(0.9999);
   bool inter_above_intra = dc[0].inter_pod.p50() > dc[0].intra_pod.p50();
   bool payload_costs = dc[0].payload.p50() > dc[0].inter_no_payload.p50() &&
                        dc[0].payload.p99() > dc[0].inter_no_payload.p99();

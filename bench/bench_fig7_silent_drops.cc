@@ -80,17 +80,17 @@ int main(int argc, char** argv) {
         }
       }
     }
-    std::printf("  %-5d %12s  %s\n", hour, format_rate(est.rate()).c_str(), event.c_str());
+    std::printf("  %-5d %12s  %s\n", hour, format_rate(est.drop_rate()).c_str(), event.c_str());
     char label[16];
     std::snprintf(label, sizeof(label), "h%02d", hour);
-    rate_series.emplace_back(label, est.rate());
+    rate_series.emplace_back(label, est.drop_rate());
 
     if (hour < 16) {
-      baseline_max = std::max(baseline_max, est.rate());
+      baseline_max = std::max(baseline_max, est.drop_rate());
     } else if (!isolated || hour <= isolation_hour) {
-      incident_max = std::max(incident_max, est.rate());
+      incident_max = std::max(incident_max, est.drop_rate());
     } else {
-      post_max = std::max(post_max, est.rate());
+      post_max = std::max(post_max, est.drop_rate());
     }
   }
 

@@ -96,28 +96,6 @@ void BM_SimTcpProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SimTcpProbe);
 
-void BM_HistogramRecord(benchmark::State& state) {
-  LatencyHistogram hist;
-  Rng rng(7);
-  std::int64_t v = 250'000;
-  for (auto _ : state) {
-    hist.record(v);
-    v = static_cast<std::int64_t>(rng.uniform(10'000, 10'000'000));
-  }
-  benchmark::DoNotOptimize(hist.count());
-}
-BENCHMARK(BM_HistogramRecord);
-
-void BM_HistogramQuantile(benchmark::State& state) {
-  LatencyHistogram hist;
-  Rng rng(8);
-  for (int i = 0; i < 1'000'000; ++i) {
-    hist.record(static_cast<std::int64_t>(rng.lognormal(12.5, 1.0)));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(hist.p99());
-}
-BENCHMARK(BM_HistogramQuantile);
-
 void BM_SketchRecord(benchmark::State& state) {
   streaming::LatencySketch sk;
   Rng rng(7);

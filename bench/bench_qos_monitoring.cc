@@ -17,14 +17,15 @@
 #include "controller/generator.h"
 #include "core/scenarios.h"
 #include "netsim/simnet.h"
+#include "streaming/sketch.h"
 
 namespace {
 
 using namespace pingmesh;
 
 struct ClassStats {
-  LatencyHistogram high;
-  LatencyHistogram low;
+  streaming::LatencySketch high;
+  streaming::LatencySketch low;
 };
 
 ClassStats run_mesh(const topo::Topology& topo, bool congested, std::uint64_t seed) {

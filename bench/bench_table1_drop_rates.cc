@@ -32,11 +32,12 @@ struct DcAcc {
 };
 
 void account(analysis::DropEstimate& e, const netsim::ProbeOutcome& o) {
+  ++e.probes;
   if (!o.success) {
-    ++e.failed_probes;
+    ++e.failures;
     return;
   }
-  ++e.successful_probes;
+  ++e.successes;
   if (o.syn_transmissions == 2) ++e.probes_3s;
   if (o.syn_transmissions == 3) ++e.probes_9s;
 }
@@ -87,8 +88,8 @@ int main(int argc, char** argv) {
   bool all_in_band = true;
   bool inter_above_intra = true;
   for (std::size_t d = 0; d < 5; ++d) {
-    double mi = acc[d].intra.rate();
-    double me = acc[d].inter.rate();
+    double mi = acc[d].intra.drop_rate();
+    double me = acc[d].inter.drop_rate();
     std::printf("  %-18s %10s / %-11s %10s / %-11s\n",
                 core::table1_dc_labels()[d].c_str(), rate9(kPaperIntra[d]).c_str(),
                 rate9(mi).c_str(), rate9(kPaperInter[d]).c_str(), rate9(me).c_str());
@@ -98,10 +99,10 @@ int main(int argc, char** argv) {
 
   bench::heading("heuristic vs ground truth (paper: verified on a single-ToR network)");
   for (std::size_t d = 0; d < 5; ++d) {
-    double est = acc[d].intra.rate();
-    double truth = acc[d].intra.successful_probes
+    double est = acc[d].intra.drop_rate();
+    double truth = acc[d].intra.successes
                        ? static_cast<double>(acc[d].truth_intra_drops) /
-                             static_cast<double>(acc[d].intra.successful_probes)
+                             static_cast<double>(acc[d].intra.successes)
                        : 0.0;
     std::printf("  DC%zu intra-pod: heuristic %s vs ground truth %s\n", d + 1,
                 rate9(est).c_str(), rate9(truth).c_str());

@@ -20,6 +20,7 @@
 #include "controller/service.h"
 #include "net/reactor.h"
 #include "net/tcp_probe.h"
+#include "streaming/sketch.h"
 #include "topology/topology.h"
 
 int main() {
@@ -70,8 +71,8 @@ int main() {
   agent::PingmeshAgent agent(self.name, self.ip, acfg, uploader);
 
   net::TcpProber prober(reactor);
-  LatencyHistogram connect_hist;
-  LatencyHistogram payload_hist;
+  streaming::LatencySketch connect_hist;
+  streaming::LatencySketch payload_hist;
   std::uint64_t launched = 0, done = 0, failed = 0;
 
   // Drive the agent on wall-clock time for ~3 seconds; accelerate its

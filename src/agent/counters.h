@@ -1,8 +1,13 @@
-// Agent-local performance counters (paper §3.5): "the Pingmesh Agent
-// performs local calculation on the latency data and produces a set of
-// performance counters including the packet drop rate, the network latency
-// at 50th the 99th percentile". These are the counters the Autopilot
-// Perfcounter Aggregator collects on its faster 5-minute pipeline.
+// The paper's per-window probe tally and the agent-local performance
+// counters built on it (paper §3.5): "the Pingmesh Agent performs local
+// calculation on the latency data and produces a set of performance
+// counters including the packet drop rate, the network latency at 50th the
+// 99th percentile". These are the counters the Autopilot Perfcounter
+// Aggregator collects on its faster 5-minute pipeline.
+//
+// ProbeCounts / ProbeTally are the one §4.2 tally every aggregation uses:
+// the agent's window counters, SCOPE's GROUP BY aggregator, streaming
+// sub-windows, rollup cells and the offline drop-rate analyses.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +27,95 @@ namespace pingmesh::agent {
   return 0;
 }
 
-struct CounterSnapshot {
-  SimTime window_start = 0;
-  SimTime window_end = 0;
+/// Probe outcome counts of one window or group. A success whose RTT carries
+/// a retransmit signature counts as a drop signature, never as a latency
+/// sample; a failure (connect never completed) counts in neither.
+struct ProbeCounts {
   std::uint64_t probes = 0;
   std::uint64_t successes = 0;
-  std::uint64_t failures = 0;      ///< connect never completed
-  std::uint64_t probes_3s = 0;     ///< one-SYN-drop signatures
-  std::uint64_t probes_9s = 0;     ///< two-SYN-drop signatures
+  std::uint64_t failures = 0;   ///< connect never completed
+  std::uint64_t probes_3s = 0;  ///< one-SYN-drop signatures
+  std::uint64_t probes_9s = 0;  ///< two-SYN-drop signatures
+
+  /// Count one probe; true when `rtt` is a clean latency sample. Defined
+  /// here so the per-record ingest paths inline it.
+  bool add(bool success, SimTime rtt) {
+    ++probes;
+    if (!success) {
+      ++failures;
+      return false;
+    }
+    ++successes;
+    switch (syn_drop_signature(rtt)) {
+      case 1:
+        ++probes_3s;
+        return false;
+      case 2:
+        ++probes_9s;
+        return false;
+      default:
+        return true;
+    }
+  }
+
+  void merge(const ProbeCounts& o) {
+    probes += o.probes;
+    successes += o.successes;
+    failures += o.failures;
+    probes_3s += o.probes_3s;
+    probes_9s += o.probes_9s;
+  }
+
+  [[nodiscard]] std::uint64_t drop_signatures() const { return probes_3s + probes_9s; }
+  /// The paper's drop-rate estimator:
+  ///   (probes with 3s rtt + probes with 9s rtt) / total successful probes.
+  /// Failures stay out of the denominator (a drop cannot be told from a
+  /// dead receiver), and a 9 s probe counts once (successive drops within a
+  /// connection are correlated).
+  [[nodiscard]] double drop_rate() const {
+    return successes ? static_cast<double>(drop_signatures()) / static_cast<double>(successes)
+                     : 0.0;
+  }
+  /// Fraction of probes whose connect never completed (blackhole shape).
+  [[nodiscard]] double failure_rate() const {
+    return probes ? static_cast<double>(failures) / static_cast<double>(probes) : 0.0;
+  }
+};
+
+/// Sketch geometry of every pod-pair cell: SCOPE's aggregator, streaming
+/// sub-windows and rollup cells. One geometry makes batch and streaming
+/// quantiles over the same records equal by construction; 2% relative
+/// error keeps a streaming pair's ring near 20 KB. Rollup checkpoints
+/// persist it and refuse to restore under another.
+inline constexpr streaming::LatencySketch::Config kPairCellSketch{
+    /*relative_error=*/0.02, /*min_value_ns=*/1'000,
+    /*max_value_ns=*/16 * kNanosPerSecond};
+
+/// ProbeCounts plus a sketch of the clean RTTs.
+struct ProbeTally {
+  ProbeCounts counts;
+  streaming::LatencySketch latency;
+
+  explicit ProbeTally(const streaming::LatencySketch::Config& geometry = kPairCellSketch)
+      : latency(geometry) {}
+
+  void add(bool success, SimTime rtt) {
+    if (counts.add(success, rtt)) latency.record(rtt);
+  }
+  void merge(const ProbeTally& o) {
+    counts.merge(o.counts);
+    latency.merge(o.latency);
+  }
+  /// Reset to empty, keeping the sketch's buckets (no allocation).
+  void clear() {
+    counts = ProbeCounts{};
+    latency.clear();
+  }
+};
+
+struct CounterSnapshot : ProbeCounts {
+  SimTime window_start = 0;
+  SimTime window_end = 0;
   std::int64_t p50_ns = 0;
   std::int64_t p99_ns = 0;
   /// Mergeable sketch of the window's clean RTTs. Lets the Perfcounter
@@ -38,13 +124,6 @@ struct CounterSnapshot {
   /// a snapshot was built by hand from bare counters — consumers fall back
   /// to the scalar fields then).
   streaming::LatencySketch latency;
-
-  /// The paper's drop-rate estimator:
-  ///   (probes with 3s rtt + probes with 9s rtt) / total successful probes.
-  [[nodiscard]] double drop_rate() const {
-    if (successes == 0) return 0.0;
-    return static_cast<double>(probes_3s + probes_9s) / static_cast<double>(successes);
-  }
 };
 
 /// Windowed counters; collect() returns the finished window and starts a
@@ -56,7 +135,7 @@ class PerfCounters {
   /// Record one probe outcome. Only clean RTTs (no retransmit signature)
   /// enter the latency percentiles — a 3 s connect is a drop artifact, not
   /// a latency sample.
-  void record_probe(bool success, SimTime rtt);
+  void record_probe(bool success, SimTime rtt) { tally_.add(success, rtt); }
 
   [[nodiscard]] CounterSnapshot peek(SimTime now) const;
   CounterSnapshot collect(SimTime now);
@@ -64,12 +143,13 @@ class PerfCounters {
   /// Approximate memory footprint (agent memory budget accounting). The
   /// sketch is fixed-size, so agent memory is bounded regardless of probe
   /// volume (§3.4.2 safety requirement).
-  [[nodiscard]] std::size_t memory_bytes() const { return sketch_.memory_bytes(); }
+  [[nodiscard]] std::size_t memory_bytes() const { return tally_.latency.memory_bytes(); }
 
  private:
   SimTime window_start_;
-  CounterSnapshot cur_{};
-  streaming::LatencySketch sketch_;
+  /// Default sketch geometry (1% relative error, 1 us .. 60 s), shared by
+  /// every agent so the PA path can merge their window sketches directly.
+  ProbeTally tally_{streaming::LatencySketch::Config{}};
 };
 
 }  // namespace pingmesh::agent

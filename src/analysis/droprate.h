@@ -5,32 +5,20 @@
 // following heuristic to estimate packet drop rate:
 //     (probes with 3s rtt + probes with 9s rtt) / total successful probes."
 //
-// Failed probes are excluded from the denominator (can't distinguish drops
-// from a dead receiver), and a 9 s probe counts once, not twice (successive
-// drops within a connection are correlated).
+// The estimator is agent::ProbeCounts::drop_rate(); this module tallies
+// offline record sets with it.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/types.h"
 
 namespace pingmesh::analysis {
 
-struct DropEstimate {
-  std::uint64_t successful_probes = 0;
-  std::uint64_t failed_probes = 0;
-  std::uint64_t probes_3s = 0;
-  std::uint64_t probes_9s = 0;
-
-  [[nodiscard]] double rate() const {
-    if (successful_probes == 0) return 0.0;
-    return static_cast<double>(probes_3s + probes_9s) /
-           static_cast<double>(successful_probes);
-  }
-};
+using DropEstimate = agent::ProbeCounts;
 
 /// Aggregate estimate over a record set.
 DropEstimate estimate_drop_rate(const std::vector<agent::LatencyRecord>& records);
@@ -42,16 +30,7 @@ struct PairKey {
   auto operator<=>(const PairKey&) const = default;
 };
 
-struct PairStats {
-  std::uint64_t probes = 0;
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t drop_signatures = 0;
-
-  [[nodiscard]] double failure_rate() const {
-    return probes ? static_cast<double>(failures) / static_cast<double>(probes) : 0.0;
-  }
-};
+using PairStats = agent::ProbeCounts;
 
 std::map<PairKey, PairStats> per_pair_stats(const std::vector<agent::LatencyRecord>& records);
 

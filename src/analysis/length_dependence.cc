@@ -9,9 +9,8 @@ LengthDependenceReport detect_length_dependent_loss(
     const LengthDependenceConfig& config) {
   LengthDependenceReport report;
   for (const agent::LatencyRecord& r : window) {
+    report.syn.add(r.success, r.rtt);
     if (!r.success) continue;  // connect failed: no payload leg to compare
-    ++report.syn_probes;
-    if (agent::syn_drop_signature(r.rtt) > 0) ++report.syn_drop_signatures;
 
     if (r.kind != controller::ProbeKind::kTcpPayload) continue;
     ++report.payload_probes;
@@ -29,10 +28,7 @@ LengthDependenceReport detect_length_dependent_loss(
         static_cast<double>(report.payload_failures + report.payload_retransmits) /
         static_cast<double>(report.payload_probes);
   }
-  if (report.syn_probes > 0) {
-    report.syn_loss_rate = static_cast<double>(report.syn_drop_signatures) /
-                           static_cast<double>(report.syn_probes);
-  }
+  report.syn_loss_rate = report.syn.drop_rate();
   report.length_dependent =
       report.payload_probes >= config.min_payload_probes &&
       report.payload_loss_rate >= config.min_payload_loss &&

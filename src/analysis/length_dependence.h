@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/types.h"
 
@@ -33,12 +34,11 @@ struct LengthDependenceReport {
   std::uint64_t payload_probes = 0;      ///< connected probes that sent payload
   std::uint64_t payload_failures = 0;    ///< echo never completed
   std::uint64_t payload_retransmits = 0; ///< echo needed data retransmission
-  std::uint64_t syn_probes = 0;
-  std::uint64_t syn_drop_signatures = 0; ///< 3s/9s connects across all probes
+  agent::ProbeCounts syn;                ///< the connect leg's §4.2 tally
 
   bool length_dependent = false;
   double payload_loss_rate = 0.0;  ///< (failures + retransmits) / payload probes
-  double syn_loss_rate = 0.0;      ///< signatures / probes
+  double syn_loss_rate = 0.0;      ///< syn.drop_rate(): signatures / successes
 
   [[nodiscard]] double ratio() const {
     return syn_loss_rate > 0 ? payload_loss_rate / syn_loss_rate : 0.0;

@@ -2,34 +2,10 @@
 
 #include <stdexcept>
 
-#include "agent/counters.h"
+#include "common/stats.h"
 #include "dsa/scan_cache.h"
 
 namespace pingmesh::dsa {
-
-LatencyAggregator::LatencyAggregator()
-    : hist_(/*min_value=*/1'000, /*octaves=*/32, /*sub_buckets_per_octave=*/32) {}
-
-void LatencyAggregator::add(const agent::LatencyRecord& r) {
-  ++acc_.probes;
-  if (!r.success) {
-    ++acc_.failures;
-    return;
-  }
-  ++acc_.successes;
-  if (agent::syn_drop_signature(r.rtt) > 0) {
-    ++acc_.drop_signatures;
-    return;  // retransmit artifacts are not latency samples
-  }
-  hist_.record(r.rtt);
-}
-
-LatencyAggregator::Result LatencyAggregator::finish() const {
-  Result r = acc_;
-  r.p50_ns = hist_.p50();
-  r.p99_ns = hist_.p99();
-  return r;
-}
 
 namespace {
 
@@ -77,7 +53,7 @@ void run_pod_pair_job(const CosmosStream& stream, const JobContext& ctx, SimTime
     row.probes = stats.probes;
     row.successes = stats.successes;
     row.failures = stats.failures;
-    row.drop_signatures = stats.drop_signatures;
+    row.drop_signatures = stats.drop_signatures();
     row.p50_ns = stats.p50_ns;
     row.p99_ns = stats.p99_ns;
     ctx.db->pod_pair_stats.push_back(row);
@@ -97,7 +73,7 @@ void emit_sla_rows(const JobContext& ctx, SimTime from, SimTime to, SlaScope sco
     row.probes = stats.probes;
     row.successes = stats.successes;
     row.failures = stats.failures;
-    row.drop_signatures = stats.drop_signatures;
+    row.drop_signatures = stats.drop_signatures();
     row.p50_ns = stats.p50_ns;
     row.p99_ns = stats.p99_ns;
     ctx.db->sla_rows.push_back(row);

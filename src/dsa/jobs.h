@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "dsa/cosmos.h"
 #include "dsa/database.h"
@@ -31,31 +31,23 @@
 
 namespace pingmesh::dsa {
 
-/// Shared aggregator for latency records: success/failure/drop-signature
-/// counts plus latency percentiles of clean successes.
+/// SCOPE GROUP BY aggregator over latency records: the §4.2 probe tally
+/// plus p50/p99 of the clean RTTs, in the pod-pair cell geometry the
+/// streaming windows and rollup cells share.
 class LatencyAggregator {
  public:
-  struct Result {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t drop_signatures = 0;
+  struct Result : agent::ProbeCounts {
     std::int64_t p50_ns = 0;
     std::int64_t p99_ns = 0;
-
-    [[nodiscard]] double drop_rate() const {
-      return successes ? static_cast<double>(drop_signatures) / static_cast<double>(successes)
-                       : 0.0;
-    }
   };
 
-  LatencyAggregator();
-  void add(const agent::LatencyRecord& r);
-  [[nodiscard]] Result finish() const;
+  void add(const agent::LatencyRecord& r) { tally_.add(r.success, r.rtt); }
+  [[nodiscard]] Result finish() const {
+    return Result{tally_.counts, tally_.latency.p50(), tally_.latency.p99()};
+  }
 
  private:
-  Result acc_{};
-  LatencyHistogram hist_;
+  agent::ProbeTally tally_;
 };
 
 class DecodedExtentCache;

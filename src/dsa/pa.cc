@@ -45,9 +45,7 @@ void PerfcounterAggregator::collect(ServerId server, const agent::CounterSnapsho
   ++collected_;
   PodId pod = topo_->server(server).pod;
   PodAcc& acc = current_[pod.value];
-  acc.probes += s.probes;
-  acc.successes += s.successes;
-  acc.signatures += s.probes_3s + s.probes_9s;
+  acc.counts.merge(s);
   acc.p50_weighted += static_cast<double>(s.p50_ns) * static_cast<double>(s.successes);
   acc.p99_weighted += static_cast<double>(s.p99_ns) * static_cast<double>(s.successes);
   // Live snapshots carry the window's latency sketch: merging them yields
@@ -59,27 +57,25 @@ void PerfcounterAggregator::collect(ServerId server, const agent::CounterSnapsho
 
 void PerfcounterAggregator::flush(SimTime now) {
   for (const auto& [pod, acc] : current_) {
-    if (acc.probes == 0) continue;
+    if (acc.counts.probes == 0) continue;
     PaCounterRow row;
     row.time = now;
     row.pod = PodId{pod};
-    row.probes = acc.probes;
-    row.drop_signatures = acc.signatures;
-    row.drop_rate = acc.successes
-                        ? static_cast<double>(acc.signatures) / static_cast<double>(acc.successes)
-                        : 0.0;
+    row.probes = acc.counts.probes;
+    row.drop_signatures = acc.counts.drop_signatures();
+    row.drop_rate = acc.counts.drop_rate();
     if (acc.merged.count() > 0) {
       // Sketch-merged percentiles: exact aggregation up to the sketch's
       // documented relative error.
       row.p50_ns = acc.merged.p50();
       row.p99_ns = acc.merged.p99();
-    } else if (acc.successes > 0) {
+    } else if (acc.counts.successes > 0) {
       // Snapshots built from bare counters (no sketch): fall back to the
       // historical probe-weighted approximation.
       row.p50_ns = static_cast<std::int64_t>(acc.p50_weighted /
-                                             static_cast<double>(acc.successes));
+                                             static_cast<double>(acc.counts.successes));
       row.p99_ns = static_cast<std::int64_t>(acc.p99_weighted /
-                                             static_cast<double>(acc.successes));
+                                             static_cast<double>(acc.counts.successes));
     }
     db_->pa_counters.push_back(row);
   }

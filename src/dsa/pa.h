@@ -49,9 +49,7 @@ class PerfcounterAggregator {
 
  private:
   struct PodAcc {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t signatures = 0;
+    agent::ProbeCounts counts;
     double p50_weighted = 0.0;  // sum of p50 * successes (sketchless fallback)
     double p99_weighted = 0.0;
     streaming::LatencySketch merged;  // union of server window sketches

@@ -564,16 +564,21 @@ std::int64_t eval(const Expr& e, const agent::LatencyRecord& r, const EvalContex
   return 0;
 }
 
+/// Percentile sketch geometry for P50/P99/P999: 2% relative error over
+/// 1 .. 2^62, which covers every column (ports, bytes, IPs, RTTs and
+/// nanosecond timestamps) in 1,076 buckets.
+constexpr streaming::LatencySketch::Config kAnyColumnSketch{
+    /*relative_error=*/0.02, /*min_value_ns=*/1, /*max_value_ns=*/std::int64_t{1} << 62};
+
 struct Accumulator {
   std::uint64_t count = 0;
   std::int64_t sum = 0;
   std::int64_t min = 0;
   std::int64_t max = 0;
-  std::unique_ptr<LatencyHistogram> hist;  // for percentiles
-  std::uint64_t successes = 0;             // for DROPRATE
-  std::uint64_t signatures = 0;
+  std::unique_ptr<streaming::LatencySketch> sketch;  // for percentiles
+  agent::ProbeCounts tally;                          // for DROPRATE
 
-  void add_value(std::int64_t v, bool need_hist) {
+  void add_value(std::int64_t v, bool need_sketch) {
     if (count == 0) {
       min = max = v;
     } else {
@@ -582,14 +587,14 @@ struct Accumulator {
     }
     ++count;
     sum += v;
-    if (need_hist) {
-      if (!hist) hist = std::make_unique<LatencyHistogram>();
-      hist->record(v);
+    if (need_sketch) {
+      if (!sketch) sketch = std::make_unique<streaming::LatencySketch>(kAnyColumnSketch);
+      sketch->record(v);
     }
   }
 };
 
-bool needs_hist(AggFn fn) {
+bool needs_sketch(AggFn fn) {
   return fn == AggFn::kP50 || fn == AggFn::kP99 || fn == AggFn::kP999;
 }
 
@@ -601,14 +606,15 @@ std::int64_t finish(const Accumulator& acc, AggFn fn) {
     case AggFn::kMax: return acc.max;
     case AggFn::kAvg:
       return acc.count ? acc.sum / static_cast<std::int64_t>(acc.count) : 0;
-    case AggFn::kP50: return acc.hist ? acc.hist->p50() : 0;
-    case AggFn::kP99: return acc.hist ? acc.hist->p99() : 0;
-    case AggFn::kP999: return acc.hist ? acc.hist->p999() : 0;
+    case AggFn::kP50: return acc.sketch ? acc.sketch->p50() : 0;
+    case AggFn::kP99: return acc.sketch ? acc.sketch->p99() : 0;
+    case AggFn::kP999: return acc.sketch ? acc.sketch->p999() : 0;
     case AggFn::kDropRate:
       // parts-per-million so the integer pipeline carries it; rendered /1e6.
-      return acc.successes
-                 ? static_cast<std::int64_t>(1e6 * static_cast<double>(acc.signatures) /
-                                             static_cast<double>(acc.successes))
+      return acc.tally.successes
+                 ? static_cast<std::int64_t>(
+                       1e6 * static_cast<double>(acc.tally.drop_signatures()) /
+                       static_cast<double>(acc.tally.successes))
                  : 0;
     case AggFn::kNone: return 0;
   }
@@ -689,14 +695,11 @@ QueryResult Interpreter::run(std::string_view query_text,
         const SelectItem& item = query.select[s];
         Accumulator& acc = group.accs[s];
         if (item.agg == AggFn::kDropRate) {
-          if (r.success) {
-            ++acc.successes;
-            if (agent::syn_drop_signature(r.rtt) > 0) ++acc.signatures;
-          }
+          acc.tally.add(r.success, r.rtt);
         } else if (item.agg == AggFn::kCount && !item.expr) {
           ++acc.count;
         } else if (item.agg != AggFn::kNone) {
-          acc.add_value(eval(*item.expr, r, ctx), needs_hist(item.agg));
+          acc.add_value(eval(*item.expr, r, ctx), needs_sketch(item.agg));
         } else {
           acc.add_value(eval(*item.expr, r, ctx), false);  // group key column
         }

@@ -212,9 +212,9 @@ std::string RollupStore::encode_state() const {
   put_i64(out, cfg_.seal_grace);
   put_i64(out, cfg_.future_slack);
   put_u64(out, cfg_.max_tier2_cells);
-  put_f64(out, cfg_.sketch.relative_error);
-  put_i64(out, cfg_.sketch.min_value_ns);
-  put_i64(out, cfg_.sketch.max_value_ns);
+  put_f64(out, agent::kPairCellSketch.relative_error);
+  put_i64(out, agent::kPairCellSketch.min_value_ns);
+  put_i64(out, agent::kPairCellSketch.max_value_ns);
 
   put_u64(out, version_);
   put_i64(out, last_now_);
@@ -231,12 +231,12 @@ std::string RollupStore::encode_state() const {
       put_u64(out, s.tier[tier].size());
       for (const auto& [start, cell] : s.tier[tier]) {
         put_i64(out, start);
-        put_u64(out, cell.probes);
-        put_u64(out, cell.successes);
-        put_u64(out, cell.failures);
-        put_u64(out, cell.probes_3s);
-        put_u64(out, cell.probes_9s);
-        encode_sketch(out, cell.sketch);
+        put_u64(out, cell.counts.probes);
+        put_u64(out, cell.counts.successes);
+        put_u64(out, cell.counts.failures);
+        put_u64(out, cell.counts.probes_3s);
+        put_u64(out, cell.counts.probes_9s);
+        encode_sketch(out, cell.latency);
       }
     }
   };
@@ -261,14 +261,15 @@ bool RollupStore::restore_state(std::string_view data) {
   echo.seal_grace = c.get_i64();
   echo.future_slack = c.get_i64();
   echo.max_tier2_cells = static_cast<std::size_t>(c.get_u64());
-  echo.sketch.relative_error = c.get_f64();
-  echo.sketch.min_value_ns = c.get_i64();
-  echo.sketch.max_value_ns = c.get_i64();
+  streaming::LatencySketch::Config geometry;
+  geometry.relative_error = c.get_f64();
+  geometry.min_value_ns = c.get_i64();
+  geometry.max_value_ns = c.get_i64();
   if (!c.ok || echo.tier_width[0] != cfg_.tier_width[0] ||
       echo.tier_width[1] != cfg_.tier_width[1] ||
       echo.tier_width[2] != cfg_.tier_width[2] || echo.seal_grace != cfg_.seal_grace ||
       echo.future_slack != cfg_.future_slack ||
-      echo.max_tier2_cells != cfg_.max_tier2_cells || !(echo.sketch == cfg_.sketch)) {
+      echo.max_tier2_cells != cfg_.max_tier2_cells || !(geometry == agent::kPairCellSketch)) {
     return false;
   }
 
@@ -307,27 +308,26 @@ bool RollupStore::restore_state(std::string_view data) {
         SimTime start = c.get_i64();
         if (!c.ok || start < 0 || start % w != 0 || start <= prev_start) return false;
         prev_start = start;
-        auto [it, inserted] = s.tier[tier].try_emplace(start, cfg_.sketch);
+        auto [it, inserted] = s.tier[tier].try_emplace(start);
         PINGMESH_DCHECK(inserted);
         Cell& cell = it->second;
-        cell.probes = c.get_u64();
-        cell.successes = c.get_u64();
-        cell.failures = c.get_u64();
-        cell.probes_3s = c.get_u64();
-        cell.probes_9s = c.get_u64();
-        if (!c.ok || cell.probes == 0 || cell.successes > cell.probes ||
-            cell.failures != cell.probes - cell.successes) {
+        agent::ProbeCounts& counts = cell.counts;
+        counts.probes = c.get_u64();
+        counts.successes = c.get_u64();
+        counts.failures = c.get_u64();
+        counts.probes_3s = c.get_u64();
+        counts.probes_9s = c.get_u64();
+        if (!c.ok || counts.probes == 0 || counts.successes > counts.probes ||
+            counts.failures != counts.probes - counts.successes) {
           return false;
         }
-        if (cell.probes_3s > cell.successes ||
-            cell.probes_9s > cell.successes - cell.probes_3s) {
+        if (counts.probes_3s > counts.successes ||
+            counts.probes_9s > counts.successes - counts.probes_3s) {
           return false;
         }
-        if (!decode_sketch(c, cell.sketch)) return false;
+        if (!decode_sketch(c, cell.latency)) return false;
         // Every success is a latency sample, a 3 s signature, or a 9 s one.
-        if (cell.sketch.count() != cell.successes - cell.probes_3s - cell.probes_9s) {
-          return false;
-        }
+        if (cell.latency.count() != counts.successes - counts.drop_signatures()) return false;
       }
     }
     return true;
@@ -378,8 +378,8 @@ bool RollupStore::restore_state(std::string_view data) {
       for (const auto& [start, cell] : s.tier[tier]) {
         bool queryable = tier == 0 || start < sealed[tier];
         if (!queryable) continue;
-        if (cell.probes > coverable - covered) return false;  // overflow guard
-        covered += cell.probes;
+        if (cell.counts.probes > coverable - covered) return false;  // overflow guard
+        covered += cell.counts.probes;
       }
     }
   }

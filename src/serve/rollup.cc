@@ -23,7 +23,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 RollupStore::RollupStore(const topo::Topology& topo, const topo::ServiceMap* services,
                          RollupConfig cfg)
-    : topo_(&topo), cfg_(cfg), scratch_(cfg.sketch) {
+    : topo_(&topo), cfg_(cfg), scratch_(agent::kPairCellSketch) {
   PINGMESH_CHECK_MSG(cfg_.tier_width[0] > 0, "tier-0 width must be positive");
   PINGMESH_CHECK_MSG(cfg_.tier_width[1] % cfg_.tier_width[0] == 0 &&
                          cfg_.tier_width[2] % cfg_.tier_width[1] == 0,
@@ -43,26 +43,9 @@ RollupStore::RollupStore(const topo::Topology& topo, const topo::ServiceMap* ser
 void RollupStore::place(Series& s, SimTime ts, bool success, SimTime rtt) {
   const SimTime w0 = cfg_.tier_width[0];
   const SimTime start = w0 * (ts / w0);
-  auto [it, _] = s.tier[0].try_emplace(start, cfg_.sketch);
-  Cell& cell = it->second;
-  ++cell.probes;
-  if (!success) {
-    ++cell.failures;
-    return;
-  }
-  ++cell.successes;
   // Retransmit artifacts count as drop signatures, never as latency samples
-  // (same classification as streaming/window and the batch aggregator).
-  switch (agent::syn_drop_signature(rtt)) {
-    case 1:
-      ++cell.probes_3s;
-      break;
-    case 2:
-      ++cell.probes_9s;
-      break;
-    default:
-      cell.sketch.record(rtt);
-  }
+  // (same tally as streaming/window and the batch aggregator).
+  s.tier[0][start].add(success, rtt);
 }
 
 void RollupStore::on_records(const agent::RecordColumns& batch, SimTime now) {
@@ -152,14 +135,12 @@ void RollupStore::seal_series(Series& s) {
   // (ascending start order — the deterministic merge order contract).
   for (auto it = s.tier[0].lower_bound(sealed_until_[0]);
        it != s.tier[0].end() && it->first < next[0]; ++it) {
-    auto [parent, _] = s.tier[1].try_emplace(w1 * (it->first / w1), cfg_.sketch);
-    parent->second.merge_from(it->second);
+    s.tier[1][w1 * (it->first / w1)].merge(it->second);
   }
   // Newly sealed tier-1 cells merge into tier 2 and shed their children.
   for (auto it = s.tier[1].lower_bound(sealed_until_[1]);
        it != s.tier[1].end() && it->first < next[1]; ++it) {
-    auto [parent, _] = s.tier[2].try_emplace(w2 * (it->first / w2), cfg_.sketch);
-    parent->second.merge_from(it->second);
+    s.tier[2][w2 * (it->first / w2)].merge(it->second);
     s.tier[0].erase(s.tier[0].lower_bound(it->first),
                     s.tier[0].lower_bound(it->first + w1));
   }
@@ -178,7 +159,7 @@ void RollupStore::seal_series(Series& s) {
   }
   while (sealed2 > cfg_.max_tier2_cells) {
     auto oldest = s.tier[2].begin();
-    expired_ += oldest->second.probes;
+    expired_ += oldest->second.counts.probes;
     s.tier[2].erase(oldest);
     --sealed2;
   }
@@ -206,12 +187,8 @@ std::optional<streaming::WindowStats> RollupStore::merge_range(const Series& s,
     for (; it != s.tier[tier].end() && it->first < to_al; ++it) {
       if (!cell_queryable(tier, it->first)) continue;
       const Cell& c = it->second;
-      stats.probes += c.probes;
-      stats.successes += c.successes;
-      stats.failures += c.failures;
-      stats.probes_3s += c.probes_3s;
-      stats.probes_9s += c.probes_9s;
-      scratch_.merge(c.sketch);
+      stats.merge(c.counts);
+      scratch_.merge(c.latency);
       if (!any) {
         stats.window_start = it->first;
         stats.window_end = it->first + w;
@@ -271,14 +248,14 @@ std::uint64_t RollupStore::digest() const {
       for (const auto& [start, c] : s.tier[tier]) {
         fnv_mix(h, static_cast<std::uint64_t>(tier));
         fnv_mix(h, static_cast<std::uint64_t>(start));
-        fnv_mix(h, c.probes);
-        fnv_mix(h, c.successes);
-        fnv_mix(h, c.failures);
-        fnv_mix(h, c.probes_3s);
-        fnv_mix(h, c.probes_9s);
-        fnv_mix(h, c.sketch.count());
-        fnv_mix(h, static_cast<std::uint64_t>(c.sketch.quantile(0.5)));
-        fnv_mix(h, static_cast<std::uint64_t>(c.sketch.quantile(0.99)));
+        fnv_mix(h, c.counts.probes);
+        fnv_mix(h, c.counts.successes);
+        fnv_mix(h, c.counts.failures);
+        fnv_mix(h, c.counts.probes_3s);
+        fnv_mix(h, c.counts.probes_9s);
+        fnv_mix(h, c.latency.count());
+        fnv_mix(h, static_cast<std::uint64_t>(c.latency.quantile(0.5)));
+        fnv_mix(h, static_cast<std::uint64_t>(c.latency.quantile(0.99)));
       }
     }
   };
@@ -308,7 +285,7 @@ bool RollupStore::check_conservation() const {
     (void)key;
     for (int tier = 0; tier < 3; ++tier) {
       for (const auto& [start, c] : s.tier[tier]) {
-        if (cell_queryable(tier, start)) covered += c.probes;
+        if (cell_queryable(tier, start)) covered += c.counts.probes;
       }
     }
   }

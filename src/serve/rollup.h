@@ -56,6 +56,7 @@
 #include <string_view>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record_columns.h"
 #include "common/annotations.h"
 #include "common/types.h"
@@ -78,11 +79,8 @@ struct RollupConfig {
   SimTime future_slack = minutes(1);
   /// Sealed tier-2 cells retained per series (default ~2 months of days).
   std::size_t max_tier2_cells = 64;
-  /// Sketch geometry of every cell; matches the streaming sub-window
-  /// geometry so rollup and streaming answers share an error bound.
-  streaming::LatencySketch::Config sketch{/*relative_error=*/0.02,
-                                          /*min_value_ns=*/1'000,
-                                          /*max_value_ns=*/16 * kNanosPerSecond};
+  // Every cell uses agent::kPairCellSketch, the streaming sub-window
+  // geometry, so rollup and streaming answers share an error bound.
 };
 
 /// One pod pair's merged stats over a queried range (snapshot form).
@@ -147,16 +145,18 @@ class RollupStore final : public dsa::RecordTap {
   /// ledger, the watermarks, and the version — as one binary payload.
   /// digest() covers all of that state, so a restore_state() round-trip is
   /// digest-identical by construction. The payload embeds the RollupConfig
-  /// for validation; sketches serialize as sparse (index, count) pairs.
+  /// and the cell sketch geometry for validation; sketches serialize as
+  /// sparse (index, count) pairs.
   [[nodiscard]] std::string encode_state() const;
   /// Rebuild from encode_state() bytes. The input is untrusted (segments
   /// cross a process/disk boundary through Cosmos): every length is bounds-
   /// checked before allocation, the embedded config must equal this store's
-  /// config, keys must be strictly increasing and width-aligned, and cell
-  /// counters must be internally consistent. Returns false and leaves the
-  /// store untouched on any violation — the caller quarantines the segment
-  /// and falls back to an older one. Intended for freshly constructed
-  /// stores (recovery); on success it REPLACES all state.
+  /// config and the embedded sketch geometry agent::kPairCellSketch, keys
+  /// must be strictly increasing and width-aligned, and cell counters must
+  /// be internally consistent. Returns false and leaves the store untouched
+  /// on any violation — the caller quarantines the segment and falls back
+  /// to an older one. Intended for freshly constructed stores (recovery);
+  /// on success it REPLACES all state.
   [[nodiscard]] bool restore_state(std::string_view data);
 
   // -- counters --------------------------------------------------------------
@@ -195,24 +195,8 @@ class RollupStore final : public dsa::RecordTap {
   [[nodiscard]] double relative_error_bound() const;
 
  private:
-  struct Cell {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t probes_3s = 0;
-    std::uint64_t probes_9s = 0;
-    streaming::LatencySketch sketch;
-
-    explicit Cell(const streaming::LatencySketch::Config& c) : sketch(c) {}
-    void merge_from(const Cell& o) {
-      probes += o.probes;
-      successes += o.successes;
-      failures += o.failures;
-      probes_3s += o.probes_3s;
-      probes_9s += o.probes_9s;
-      sketch.merge(o.sketch);
-    }
-  };
+  /// A cell is the §4.2 tally of the records stamped in [start, start + w).
+  using Cell = agent::ProbeTally;
 
   /// One scope's three tiers, each keyed by cell start time.
   struct Series {

@@ -1,5 +1,6 @@
 // LatencySketch — a mergeable quantile sketch with a *bounded relative
-// error*, the data structure underneath the streaming analytics path
+// error*, the one percentile structure of the repository: agent counters,
+// SCOPE aggregates, streaming windows, rollups and benches all use it
 // (paper §5 lessons-learned: "moving towards streaming"; see also
 // "Scalable Tail Latency Estimation for Data Center Networks": fast
 // approximate tail estimates beat full-fidelity batch aggregation for
@@ -20,10 +21,9 @@
 //    /clear — the hot ingest path stays allocation-free after warm-up);
 //  - O(buckets) merge that is associative and commutative: merging
 //    per-server or per-sub-window sketches equals sketching the union;
-//  - identical rank convention to LatencyHistogram (target rank
-//    ceil(q * count), representative clamped to the observed min/max), so
-//    streaming and batch quantiles over the same samples differ only by
-//    the two sketches' bucket resolutions.
+//  - one rank convention (target rank ceil(q * count), representative
+//    clamped to the observed min/max), so two sketches of one geometry over
+//    the same samples — batch and streaming, say — report equal quantiles.
 #pragma once
 
 #include <cstdint>

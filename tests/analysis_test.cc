@@ -4,6 +4,9 @@
 // classification, and the network-issue judgement.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+
 #include "agent/record.h"
 #include "analysis/blackhole.h"
 #include "analysis/droprate.h"
@@ -78,11 +81,11 @@ TEST(DropRate, HeuristicCountsSignatures) {
   records[1].rtt = seconds(9) + micros(300);  // two SYN drops, counted once
   records[2].success = false;                 // excluded from denominator
   DropEstimate e = estimate_drop_rate(records);
-  EXPECT_EQ(e.successful_probes, 9u);
-  EXPECT_EQ(e.failed_probes, 1u);
+  EXPECT_EQ(e.successes, 9u);
+  EXPECT_EQ(e.failures, 1u);
   EXPECT_EQ(e.probes_3s, 1u);
   EXPECT_EQ(e.probes_9s, 1u);
-  EXPECT_NEAR(e.rate(), 2.0 / 9.0, 1e-12);
+  EXPECT_NEAR(e.drop_rate(), 2.0 / 9.0, 1e-12);
 }
 
 TEST(DropRate, ValidatedAgainstGroundTruthSingleTor) {
@@ -105,7 +108,7 @@ TEST(DropRate, ValidatedAgainstGroundTruthSingleTor) {
                  static_cast<double>(run.successful_probes);
   ASSERT_GT(run.successful_probes, 10000u);
   ASSERT_GT(est.probes_3s, 10u);
-  EXPECT_NEAR(est.rate(), truth, truth * 0.35 + 1e-4);
+  EXPECT_NEAR(est.drop_rate(), truth, truth * 0.35 + 1e-4);
 }
 
 TEST(DropRate, PerPairStats) {
@@ -280,6 +283,14 @@ struct BlackholeSweepCase {
   int pod_index;
   int rounds;
 };
+
+// Names each case from its fields. Without this, gtest prints the raw bytes
+// of the struct, padding included, and the test name changes from run to run.
+void PrintTo(const BlackholeSweepCase& c, std::ostream* os) {
+  *os << (c.mode == netsim::BlackholeMode::kSrcDstPair ? "SrcDstPair" : "FiveTuple") << '_'
+      << std::lround(c.fraction * 100) << "pct_pod" << c.pod_index << '_' << c.rounds
+      << "rounds";
+}
 
 class BlackholeSweepTest : public ::testing::TestWithParam<BlackholeSweepCase> {};
 

@@ -1,4 +1,4 @@
-// Unit tests for the common substrate: RNG, statistics sketches, XML, CSV,
+// Unit tests for the common substrate: RNG, statistics helpers, XML, CSV,
 // virtual clock and scheduler.
 #include <gtest/gtest.h>
 
@@ -172,149 +172,6 @@ TEST(MixKey, OrderAndArityMatter) {
   EXPECT_NE(mix_key(1, 2, 3), mix_key(1, 2, 3, 0));
   EXPECT_EQ(mix_key(1, 2, 3, 4), mix_key(1, 2, 3, 4));
 }
-
-// ---------------------------------------------------------------------------
-// LatencyHistogram
-// ---------------------------------------------------------------------------
-
-TEST(LatencyHistogram, EmptyIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.p50(), 0);
-  EXPECT_EQ(h.p99(), 0);
-  EXPECT_EQ(h.min(), 0);
-  EXPECT_EQ(h.max(), 0);
-}
-
-TEST(LatencyHistogram, SingleValue) {
-  LatencyHistogram h;
-  h.record(250'000);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_NEAR(static_cast<double>(h.p50()), 250'000, 250'000 * 0.05);
-  EXPECT_EQ(h.min(), 250'000);
-  EXPECT_EQ(h.max(), 250'000);
-}
-
-TEST(LatencyHistogram, ClampsBelowMinimum) {
-  LatencyHistogram h(1'000);
-  h.record(1);  // below min_value
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.min(), 1);
-}
-
-TEST(LatencyHistogram, QuantileAccuracyUniform) {
-  LatencyHistogram h;
-  Rng r(7);
-  std::vector<double> exact;
-  for (int i = 0; i < 100000; ++i) {
-    auto v = static_cast<std::int64_t>(r.uniform(10'000, 10'000'000));
-    h.record(v);
-    exact.push_back(static_cast<double>(v));
-  }
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    double want = exact_quantile(exact, q);
-    double got = static_cast<double>(h.quantile(q));
-    EXPECT_NEAR(got, want, want * 0.05) << "q=" << q;
-  }
-}
-
-TEST(LatencyHistogram, QuantileAccuracyHeavyTail) {
-  LatencyHistogram h;
-  Rng r(8);
-  std::vector<double> exact;
-  for (int i = 0; i < 100000; ++i) {
-    auto v = static_cast<std::int64_t>(r.pareto(50'000, 1.1));
-    v = std::min<std::int64_t>(v, seconds(100));
-    h.record(v);
-    exact.push_back(static_cast<double>(v));
-  }
-  for (double q : {0.5, 0.99, 0.9999}) {
-    double want = exact_quantile(exact, q);
-    double got = static_cast<double>(h.quantile(q));
-    EXPECT_NEAR(got, want, want * 0.08) << "q=" << q;
-  }
-}
-
-TEST(LatencyHistogram, MergeMatchesCombined) {
-  LatencyHistogram a, b, all;
-  Rng r(9);
-  for (int i = 0; i < 20000; ++i) {
-    auto v = static_cast<std::int64_t>(r.lognormal(12, 1.0));
-    if (i % 2 == 0) {
-      a.record(v);
-    } else {
-      b.record(v);
-    }
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.p50(), all.p50());
-  EXPECT_EQ(a.p999(), all.p999());
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(LatencyHistogram, MergeGeometryMismatchThrows) {
-  LatencyHistogram a(1'000), b(2'000);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, ClearResets) {
-  LatencyHistogram h;
-  h.record(12345);
-  h.clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.p50(), 0);
-}
-
-TEST(LatencyHistogram, CdfPointsMonotone) {
-  LatencyHistogram h;
-  Rng r(10);
-  for (int i = 0; i < 10000; ++i) h.record(static_cast<std::int64_t>(r.uniform(1e3, 1e8)));
-  auto points = h.cdf_points();
-  ASSERT_FALSE(points.empty());
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GT(points[i].first, points[i - 1].first);
-    EXPECT_GE(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(LatencyHistogram, InvalidGeometryThrows) {
-  EXPECT_THROW(LatencyHistogram(0), std::invalid_argument);
-  EXPECT_THROW(LatencyHistogram(1000, 0), std::invalid_argument);
-  EXPECT_THROW(LatencyHistogram(1000, 32, 0), std::invalid_argument);
-}
-
-// Property sweep: quantiles are within relative error across distributions.
-class HistogramPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(HistogramPropertyTest, QuantilesWithinRelativeError) {
-  int seed = GetParam();
-  Rng r(static_cast<std::uint64_t>(seed));
-  LatencyHistogram h;
-  std::vector<double> exact;
-  int which = seed % 3;
-  for (int i = 0; i < 30000; ++i) {
-    double v = 0;
-    switch (which) {
-      case 0: v = r.uniform(2'000, 5'000'000); break;
-      case 1: v = r.exponential(300'000) + 1'000; break;
-      default: v = r.lognormal(11.5, 1.4); break;
-    }
-    auto iv = std::max<std::int64_t>(1, static_cast<std::int64_t>(v));
-    h.record(iv);
-    exact.push_back(static_cast<double>(iv));
-  }
-  for (double q : {0.25, 0.5, 0.75, 0.9, 0.99}) {
-    double want = exact_quantile(exact, q);
-    EXPECT_NEAR(static_cast<double>(h.quantile(q)), want, std::max(want * 0.06, 2000.0))
-        << "seed=" << seed << " q=" << q;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HistogramPropertyTest, ::testing::Range(1, 13));
 
 // ---------------------------------------------------------------------------
 // RunningStat

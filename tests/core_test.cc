@@ -13,6 +13,7 @@
 #include "core/simulation.h"
 #include "dsa/cosmos_io.h"
 #include "dsa/report.h"
+#include "streaming/sketch.h"
 
 namespace pingmesh::core {
 namespace {
@@ -211,7 +212,7 @@ TEST(Qos, LowPriorityQueuesLongerUnderCongestion) {
   }
   ServerId a = topo.pods()[0].servers[0];
   ServerId b = topo.pods()[4].servers[0];  // cross-podset
-  LatencyHistogram high, low;
+  streaming::LatencySketch high, low;
   for (int i = 0; i < 4000; ++i) {
     netsim::ProbeSpec spec;
     auto r1 = net.tcp_probe(a, b, static_cast<std::uint16_t>(32768 + i), 33100, spec, 0);

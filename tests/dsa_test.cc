@@ -561,7 +561,7 @@ TEST(LatencyAggregatorUnit, SeparatesSignaturesFromLatency) {
   EXPECT_EQ(result.probes, 101u);
   EXPECT_EQ(result.successes, 100u);
   EXPECT_EQ(result.failures, 1u);
-  EXPECT_EQ(result.drop_signatures, 1u);
+  EXPECT_EQ(result.drop_signatures(), 1u);
   // The 3s RTT must not pollute the latency percentiles.
   EXPECT_LT(result.p99_ns, millis(1));
   EXPECT_NEAR(result.drop_rate(), 0.01, 1e-9);

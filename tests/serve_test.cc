@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "agent/record_columns.h"
 #include "core/scenarios.h"
@@ -684,6 +686,69 @@ TEST_F(PersistTest, GarbageSegmentStreamIsQuarantinedNotFatal) {
   EXPECT_GE(st.segments_quarantined, 1u);
   EXPECT_EQ(recovered.ingested(), 0u);  // empty store, not a crash
   EXPECT_TRUE(recovered.check_conservation());
+}
+
+TEST_F(PersistTest, CheckpointWithOtherSketchGeometryIsQuarantined) {
+  RollupStore live(topo_, nullptr, test_config());
+  ServerId a{0};
+  ServerId b{topo_.pod(PodId{1}).servers[0]};
+  RollupTest::feed(live,
+                   {record(a, b, seconds(1), 500'000), record(a, b, seconds(2), 600'000)},
+                   seconds(3));
+  const std::string good = live.encode_state();
+
+  // The state header echoes the cell sketch geometry after the format
+  // version (u32) and six 8-byte config fields (three tier widths, seal
+  // grace, future slack, tier-2 cap): relative_error f64, min_value_ns i64,
+  // max_value_ns i64, little-endian.
+  constexpr std::size_t kGeometryOffset = 4 + 6 * 8;
+  auto field = [&](std::size_t i) {
+    std::uint64_t v = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      v |= std::uint64_t{static_cast<unsigned char>(good[kGeometryOffset + 8 * i + k])}
+           << (8 * k);
+    }
+    return v;
+  };
+  auto with_field = [&](std::size_t i, std::uint64_t v) {
+    std::string s = good;
+    for (std::size_t k = 0; k < 8; ++k) {
+      s[kGeometryOffset + 8 * i + k] = static_cast<char>((v >> (8 * k)) & 0xff);
+    }
+    return s;
+  };
+  ASSERT_EQ(std::bit_cast<double>(field(0)), agent::kPairCellSketch.relative_error);
+  ASSERT_EQ(static_cast<std::int64_t>(field(1)), agent::kPairCellSketch.min_value_ns);
+  ASSERT_EQ(static_cast<std::int64_t>(field(2)), agent::kPairCellSketch.max_value_ns);
+
+  const std::string other_geometry[] = {
+      with_field(0, std::bit_cast<std::uint64_t>(0.01)),
+      with_field(1, 2'000),
+      with_field(2, static_cast<std::uint64_t>(60 * kNanosPerSecond)),
+  };
+  for (const std::string& payload : other_geometry) {
+    RollupStore fresh(topo_, nullptr, test_config());
+    EXPECT_FALSE(fresh.restore_state(payload));
+    EXPECT_EQ(fresh.ingested(), 0u);  // left untouched
+  }
+  RollupStore control(topo_, nullptr, test_config());
+  ASSERT_TRUE(control.restore_state(good));
+  EXPECT_EQ(control.digest(), live.digest());
+
+  // Recovery quarantines the newer, mismatched segment and falls back to
+  // the older one written under the store's own geometry.
+  dsa::CosmosStream& seg = cosmos_.stream(serve::kRollupSegmentStream);
+  seg.append(serve::encode_segment_frame(1, good), 1, 1, 1, seconds(3),
+             dsa::ExtentEncoding::kColumnar);
+  seg.append(serve::encode_segment_frame(2, other_geometry[0]), 1, 2, 2, seconds(3),
+             dsa::ExtentEncoding::kColumnar);
+  RollupStore recovered(topo_, nullptr, test_config());
+  serve::RollupRecoveryStats st = serve::recover_rollup_store(recovered, cosmos_);
+  EXPECT_EQ(st.segments_seen, 2u);
+  EXPECT_EQ(st.segments_quarantined, 1u);
+  EXPECT_TRUE(st.from_checkpoint);
+  EXPECT_EQ(st.checkpoint_seq, 1u);
+  EXPECT_EQ(recovered.digest(), live.digest());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit tests for the Clos topology model.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "topology/topology.h"
@@ -114,6 +115,17 @@ TEST(Topology, InvalidIdAccessThrows) {
   EXPECT_THROW(t.pod(PodId{99999}), std::out_of_range);
   EXPECT_THROW(t.dc(DcId{99}), std::out_of_range);
 }
+
+}  // namespace
+
+// Names each case from its fields. Without this, gtest prints the raw bytes
+// of the spec, and its string pointers change the test name every run.
+void PrintTo(const DcSpec& spec, std::ostream* os) {
+  *os << spec.name << '_' << spec.podsets << "podsets_" << spec.pods_per_podset << "pods_"
+      << spec.servers_per_pod << "servers";
+}
+
+namespace {
 
 class SpecShapeTest : public ::testing::TestWithParam<DcSpec> {};
 

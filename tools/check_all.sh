@@ -5,7 +5,9 @@
 #   1. lint        — pingmesh_lint over src/ (layering DAG, determinism
 #                    taint, lock discipline, hygiene rules; see
 #                    tools/lint/lint.h for the catalog), plus the
-#                    library-rule subset over tools/ and bench/
+#                    library-rule subset over tools/, bench/ and
+#                    loopbench/, and the ignored-paths check
+#                    (tools/check_ignored.sh)
 #   2. tier-1      — default build + full ctest suite (includes the corpus
 #                    replay tests and the lint fixture tests), then an
 #                    observability smoke (pingmeshctl metrics/trace must
@@ -46,9 +48,11 @@ banner "stage 1: pingmesh_lint"
 cmake -B build -S . >/dev/null
 cmake --build build -j --target pingmesh_lint >/dev/null
 ./build/tools/lint/pingmesh_lint src
-# tools/ and bench/ are CLI/bench code, not library code: only the
-# module-agnostic hygiene subset applies there.
-./build/tools/lint/pingmesh_lint --preset=support tools bench
+# tools/, bench/ and loopbench/ are CLI/bench code, not library code: only
+# the module-agnostic hygiene subset applies there.
+./build/tools/lint/pingmesh_lint --preset=support tools bench loopbench
+# .gitignore must not match tracked files or hide new sources.
+tools/check_ignored.sh
 
 # --- 2. tier-1 build + tests ----------------------------------------------
 banner "stage 2: tier-1 build + ctest"

@@ -61,6 +61,7 @@
 #include "analysis/droprate.h"
 #include "analysis/heatmap.h"
 #include "chaos/engine.h"
+#include "common/stats.h"
 #include "controller/generator.h"
 #include "core/fleet.h"
 #include "core/scenarios.h"
@@ -309,19 +310,20 @@ int cmd_drops(const Args& args) {
                      const topo::Server& d = topo.server(p.dst);
                      analysis::DropEstimate& e =
                          s.pod == d.pod ? acc[s.dc.value].intra : acc[s.dc.value].inter;
+                     ++e.probes;
                      if (!p.outcome.success) {
-                       ++e.failed_probes;
+                       ++e.failures;
                        return;
                      }
-                     ++e.successful_probes;
+                     ++e.successes;
                      if (p.outcome.syn_transmissions == 2) ++e.probes_3s;
                      if (p.outcome.syn_transmissions == 3) ++e.probes_9s;
                    });
   std::printf("%-8s %14s %14s\n", "DC", "intra-pod", "inter-pod");
   for (std::size_t d = 0; d < acc.size(); ++d) {
     std::printf("%-8s %14s %14s\n", topo.dc(DcId{static_cast<std::uint32_t>(d)}).name.c_str(),
-                format_rate(acc[d].intra.rate()).c_str(),
-                format_rate(acc[d].inter.rate()).c_str());
+                format_rate(acc[d].intra.drop_rate()).c_str(),
+                format_rate(acc[d].inter.drop_rate()).c_str());
   }
   return 0;
 }
