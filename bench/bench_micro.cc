@@ -23,7 +23,9 @@
 #include "netsim/simnet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "streaming/detector.h"
 #include "streaming/sketch.h"
+#include "streaming/window.h"
 #include "topology/topology.h"
 
 namespace {
@@ -233,6 +235,56 @@ void BM_HeatmapLoadAndClassify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeatmapLoadAndClassify)->Unit(benchmark::kMillisecond);
+
+/// One OnlineDetector evaluation over the loop benchmark's fleet shape: the
+/// medium two-DC topology's 3,200 intra-DC pod pairs plus 64 inter-DC ones,
+/// each with six live 10 s sub-windows filled at default_config's cadence
+/// (2-min probe interval: ~2 records per inter-pod pair and ~32 per intra-pod
+/// pair per sub-window) with lognormal RTTs, 0.1% 3 s signatures and 0.05%
+/// failures. Every pair clears min_probes, so every pair is evaluated.
+/// `per_pair` is the time per pair per evaluation.
+void BM_DetectorEvaluate(benchmark::State& state) {
+  static const topo::Topology topo = topo::Topology::build(core::two_dc_specs(true));
+  streaming::WindowedAggregator windows(topo, streaming::WindowedAggregator::Config{});
+  dsa::Database db;
+  streaming::OnlineDetector detector(topo, db);
+  Rng rng(11);
+  auto fill = [&](const topo::Pod& a, const topo::Pod& b, int per_window) {
+    for (int w = 0; w < 6; ++w) {
+      for (int i = 0; i < per_window; ++i) {
+        agent::LatencyRecord r;
+        r.timestamp = seconds(10) * w + rng.uniform_u32(10'000) * micros(1'000);
+        r.src_ip = topo.server(a.servers[static_cast<std::size_t>(i) % a.servers.size()]).ip;
+        r.dst_ip = topo.server(b.servers[static_cast<std::size_t>(i) % b.servers.size()]).ip;
+        double u = rng.uniform(0.0, 1.0);
+        r.success = u >= 5e-4;
+        r.rtt = u < 1.5e-3 && r.success ? seconds(3) + micros(300)
+                                        : static_cast<SimTime>(rng.lognormal(12.4, 0.5));
+        windows.ingest(r);
+      }
+    }
+  };
+  std::size_t pairs = 0;
+  for (const topo::Pod& a : topo.pods()) {
+    for (const topo::Pod& b : topo.pods()) {
+      // Inter-DC: the first 8 pods of DC1 towards the first 8 of DC2.
+      bool inter_dc_sample = a.dc.value == 0 && b.dc.value == 1 && a.id.value < 8 &&
+                             b.id.value < topo.pods().size() / 2 + 8;
+      if (a.dc != b.dc && !inter_dc_sample) continue;
+      fill(a, b, a.id == b.id ? 32 : 2);
+      ++pairs;
+    }
+  }
+  SimTime now = seconds(59);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.evaluate(windows, now));
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["per_pair"] = benchmark::Counter(
+      static_cast<double>(pairs),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DetectorEvaluate)->Unit(benchmark::kMillisecond);
 
 // --- observability layer costs (DESIGN.md §10: <5% tick overhead budget) ----
 

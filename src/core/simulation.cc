@@ -1,14 +1,35 @@
 #include "core/simulation.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.h"
 
 namespace pingmesh::core {
+namespace {
+
+/// Reject configurations the streaming detector cannot serve (see the
+/// constructor's contract in simulation.h).
+SimulationConfig checked(SimulationConfig config) {
+  if (config.streaming.enabled) {
+    SimTime longest = std::max(config.generator.intra_pod_interval,
+                               config.generator.intra_dc_interval);
+    if (config.streaming.detector.silent_after < longest) {
+      throw std::invalid_argument(
+          "streaming.detector.silent_after (" +
+          std::to_string(config.streaming.detector.silent_after / seconds(1)) +
+          " s) is below the longest intra-DC probe interval (" +
+          std::to_string(longest / seconds(1)) + " s): every pair would look silent");
+    }
+  }
+  return config;
+}
+
+}  // namespace
 
 PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       topo_(topo::Topology::build(config_.dcs)),
       net_(topo_, config_.seed),
       generator_(topo_, config_.generator),

@@ -86,6 +86,10 @@ struct SimulationConfig {
 
 class PingmeshSimulation {
  public:
+  /// Throws std::invalid_argument when streaming is enabled with a
+  /// detector `silent_after` below the longest intra-DC probe interval: a
+  /// pair probed less often than that would look silent between every two
+  /// probe rounds.
   explicit PingmeshSimulation(SimulationConfig config);
 
   // --- simulation control --------------------------------------------------

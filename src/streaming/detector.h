@@ -1,10 +1,11 @@
 // OnlineDetector — sub-minute alerting over the sliding-window aggregates.
 //
-// Evaluated every few seconds against WindowedAggregator snapshots, it fires
-// into the same Database::alerts surface the PA and SCOPE paths use, one to
-// two orders of magnitude sooner than the 10-min batch job (whose end-to-end
-// freshness is ~20 minutes, paper §3.5) and well under the PA path's 5-min
-// cadence. Four rules, matching the failure classes of §4–§5:
+// Evaluated every few seconds over the WindowedAggregator's live windows
+// (read in place), it fires into the same Database::alerts surface the PA
+// and SCOPE paths use, one to two orders of magnitude sooner than the
+// 10-min batch job (whose end-to-end freshness is ~20 minutes, paper §3.5)
+// and well under the PA path's 5-min cadence. Four rules, matching the
+// failure classes of §4–§5:
 //
 //  - latency boost: windowed *median* RTT above a multiplicative EWMA
 //    baseline (baseline frozen while breaching, so an incident cannot
@@ -34,6 +35,12 @@
 // until `close_after` consecutive clean evaluations close it — a persistent
 // fault yields exactly one AlertRow, not one per evaluation (shared
 // open-alert registry in dsa::Database; the PA path uses the same registry).
+//
+// Cost: one evaluation sums each pair's live sub-window counters and, only
+// when the latency rule needs it, reads the p50 straight from the sub-window
+// sketches. Scope and message strings are built only on an open or close
+// transition. Every pair is evaluated every time — the EWMA baseline and the
+// hysteresis streaks advance per evaluation (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -99,15 +106,21 @@ class OnlineDetector {
     bool baseline_init = false;
     int breach_streak[kRuleCount] = {};
     int clean_streak[kRuleCount] = {};
+    /// Mirrors the database's open-alert registry for this pair's
+    /// (scope, rule) keys. Only the detector writes `stream:*` keys, so a
+    /// clean pair with nothing open never builds a registry key.
+    bool open[kRuleCount] = {};
   };
 
   static const char* rule_name(Rule r);
   [[nodiscard]] std::string pair_scope(PodId src, PodId dst) const;
   /// Advance one rule's hysteresis; fires/clears through the database's
-  /// open-alert registry. Returns 1 if an alert was newly opened.
-  int step_rule(PairTrack& track, Rule rule, bool breach, const std::string& scope,
-                dsa::AlertSeverity severity, double value, const std::string& message,
-                SimTime now);
+  /// open-alert registry. The scope and `message()` are built only when an
+  /// alert opens or closes. Returns 1 if an alert was newly opened.
+  template <typename Message>
+  int step_rule(PairTrack& track, Rule rule, bool breach,
+                const WindowedAggregator::LivePair& pair, dsa::AlertSeverity severity,
+                double value, Message&& message, SimTime now);
 
   const topo::Topology* topo_;
   dsa::Database* db_;

@@ -27,6 +27,7 @@ LatencySketch::LatencySketch(Config cfg) : cfg_(cfg) {
   double span = std::log2(static_cast<double>(cfg_.max_value_ns)) - log2_min_;
   auto regular = static_cast<std::size_t>(std::ceil(span * inv_log2_gamma_));
   counts_.assign(regular + 1, 0);
+  lowest_ = counts_.size();
   PINGMESH_CHECK_MSG(counts_.size() >= 2, "sketch needs at least one regular bucket");
 }
 
@@ -52,6 +53,7 @@ void LatencySketch::record(std::int64_t value_ns, std::uint64_t count) {
   std::size_t idx = bucket_index(value_ns);
   PINGMESH_DCHECK(idx < counts_.size());
   counts_[idx] += count;
+  lowest_ = std::min(lowest_, idx);
   total_ += count;
   sum_ += static_cast<double>(value_ns) * static_cast<double>(count);
   observed_min_ = std::min(observed_min_, value_ns);
@@ -66,6 +68,7 @@ void LatencySketch::merge(const LatencySketch& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
   sum_ += other.sum_;
+  lowest_ = std::min(lowest_, other.lowest_);
   if (other.total_ > 0) {
     observed_min_ = std::min(observed_min_, other.observed_min_);
     observed_max_ = std::max(observed_max_, other.observed_max_);
@@ -78,13 +81,42 @@ std::int64_t LatencySketch::quantile(double q) const {
   auto target = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_)));
   if (target == 0) target = 1;
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = lowest_; i < counts_.size(); ++i) {
     cum += counts_[i];
     if (cum >= target) {
       return std::clamp(bucket_representative(i), observed_min_, observed_max_);
     }
   }
   return observed_max_;
+}
+
+std::int64_t LatencySketch::union_quantile(std::span<const LatencySketch* const> parts,
+                                           double q) {
+  std::uint64_t total = 0;
+  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+  std::size_t lowest = std::numeric_limits<std::size_t>::max();
+  for (const LatencySketch* p : parts) {
+    if (!p->mergeable_with(*parts.front())) {
+      throw std::invalid_argument("LatencySketch geometry mismatch in union_quantile");
+    }
+    if (p->total_ == 0) continue;
+    total += p->total_;
+    lo = std::min(lo, p->observed_min_);
+    hi = std::max(hi, p->observed_max_);
+    lowest = std::min(lowest, p->lowest_);
+  }
+  if (total == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  auto target = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
+  if (target == 0) target = 1;
+  const LatencySketch& geometry = *parts.front();
+  std::uint64_t cum = 0;
+  for (std::size_t i = lowest; i < geometry.counts_.size(); ++i) {
+    for (const LatencySketch* p : parts) cum += p->counts_[i];
+    if (cum >= target) return std::clamp(geometry.bucket_representative(i), lo, hi);
+  }
+  return hi;
 }
 
 bool LatencySketch::restore_state(const std::vector<std::uint64_t>& counts,
@@ -111,11 +143,15 @@ bool LatencySketch::restore_state(const std::vector<std::uint64_t>& counts,
   sum_ = sum;
   observed_min_ = observed_min;
   observed_max_ = observed_max;
+  lowest_ = static_cast<std::size_t>(
+      std::find_if(counts_.begin(), counts_.end(), [](std::uint64_t c) { return c != 0; }) -
+      counts_.begin());
   return true;
 }
 
 void LatencySketch::clear() {
   std::fill(counts_.begin(), counts_.end(), 0);
+  lowest_ = counts_.size();
   total_ = 0;
   sum_ = 0.0;
   observed_min_ = std::numeric_limits<std::int64_t>::max();

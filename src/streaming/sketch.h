@@ -20,7 +20,8 @@
 //  - fixed memory decided at construction (no allocation on record/merge
 //    /clear — the hot ingest path stays allocation-free after warm-up);
 //  - O(buckets) merge that is associative and commutative: merging
-//    per-server or per-sub-window sketches equals sketching the union;
+//    per-server or per-sub-window sketches equals sketching the union, and
+//    union_quantile() reads a quantile of that union in place;
 //  - one rank convention (target rank ceil(q * count), representative
 //    clamped to the observed min/max), so two sketches of one geometry over
 //    the same samples — batch and streaming, say — report equal quantiles.
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -68,6 +70,14 @@ class LatencySketch {
   [[nodiscard]] std::int64_t p50() const { return quantile(0.50); }
   [[nodiscard]] std::int64_t p99() const { return quantile(0.99); }
   [[nodiscard]] std::int64_t p999() const { return quantile(0.999); }
+
+  /// quantile(q) of the merge of `parts`, without building the merge: the
+  /// same ceil(q * count) rank over the bucket-wise summed counts, clamped
+  /// to the union's observed min/max, so it equals merge-then-quantile
+  /// exactly. Every part must share one geometry (throws otherwise); empty
+  /// parts contribute nothing. 0 when the union is empty.
+  [[nodiscard]] static std::int64_t union_quantile(std::span<const LatencySketch* const> parts,
+                                                   double q);
 
   [[nodiscard]] std::uint64_t count() const { return total_; }
   [[nodiscard]] std::int64_t min() const { return total_ ? observed_min_ : 0; }
@@ -125,6 +135,9 @@ class LatencySketch {
   double sum_ = 0.0;
   std::int64_t observed_min_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t observed_max_ = std::numeric_limits<std::int64_t>::min();
+  /// Lowest non-empty bucket (bucket_count() when empty): quantile scans
+  /// start here, so a scan skips the empty low range of the ladder.
+  std::size_t lowest_ = 0;
 };
 
 }  // namespace pingmesh::streaming

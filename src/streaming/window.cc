@@ -9,11 +9,12 @@
 namespace pingmesh::streaming {
 
 WindowedAggregator::WindowedAggregator(const topo::Topology& topo, Config cfg)
-    : topo_(&topo), cfg_(cfg), scratch_(agent::kPairCellSketch) {
+    : topo_(&topo), cfg_(cfg) {
   if (cfg_.sub_window <= 0) throw std::invalid_argument("sub_window must be positive");
   if (cfg_.sub_window_count < 1 || cfg_.sub_window_count > 4096) {
     throw std::invalid_argument("sub_window_count out of range");
   }
+  parts_.reserve(static_cast<std::size_t>(cfg_.sub_window_count));
 }
 
 void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
@@ -26,10 +27,14 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
   PodId src_pod = topo_->server(*src).pod;
   PodId dst_pod = topo_->server(*dst).pod;
 
-  auto& slot = pairs_[key(src_pod, dst_pod)];
-  if (slot == nullptr) {  // warm-up: the only allocation on the ingest path
+  std::uint64_t k = key(src_pod, dst_pod);
+  auto& slot = pairs_[k];
+  if (slot == nullptr) {  // warm-up: the only allocations on the ingest path
     slot = std::make_unique<PairState>();
     slot->ring.resize(static_cast<std::size_t>(cfg_.sub_window_count));
+    auto at = std::lower_bound(order_.begin(), order_.end(), k,
+                               [](const auto& e, std::uint64_t v) { return e.first < v; });
+    order_.insert(at, {k, slot.get()});
   }
   PairState& pair = *slot;
 
@@ -55,8 +60,6 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
   }
 
   ++ingested_;
-  ++pair.lifetime_probes;
-  pair.last_probe_ts = std::max(pair.last_probe_ts, ts);
   if (r.success) pair.last_success_ts = std::max(pair.last_success_ts, ts);
   // Identical classification to the batch LatencyAggregator: retransmit
   // artifacts count as drop signatures, never as latency samples.
@@ -68,31 +71,49 @@ const WindowedAggregator::PairState* WindowedAggregator::find(PodId src, PodId d
   return it == pairs_.end() ? nullptr : it->second.get();
 }
 
-std::optional<WindowStats> WindowedAggregator::merge_range(const PairState& pair,
-                                                           SimTime from, SimTime to) const {
-  WindowStats out;
-  out.window_start = from;
-  out.window_end = to;
-  scratch_.clear();
+std::pair<SimTime, SimTime> WindowedAggregator::live_range(SimTime now) const {
+  SimTime newest_start = now - now % cfg_.sub_window;
+  return {newest_start - cfg_.sub_window * (cfg_.sub_window_count - 1),
+          newest_start + cfg_.sub_window};
+}
+
+bool WindowedAggregator::read_live(const PairState& pair, SimTime from, SimTime to,
+                                   LivePair& out) const {
+  out.counts = agent::ProbeCounts{};
+  parts_.clear();
   for (const SubWindow& sub : pair.ring) {
     if (sub.start == kUnset || sub.start < from || sub.start >= to) continue;
     // Every populated sub-window sits on a sub_window boundary; ingest
     // rounds timestamps down before writing.
     PINGMESH_DCHECK(sub.start % cfg_.sub_window == 0);
-    out.merge(sub.tally.counts);
-    scratch_.merge(sub.tally.latency);
+    out.counts.merge(sub.tally.counts);
+    if (sub.tally.latency.count() > 0) parts_.push_back(&sub.tally.latency);
   }
-  out.p50_ns = scratch_.p50();
-  out.p99_ns = scratch_.p99();
-  out.p999_ns = scratch_.p999();
+  out.sketches = parts_;
+  out.last_success = pair.last_success_ts == kUnset
+                         ? std::nullopt
+                         : std::optional<SimTime>(pair.last_success_ts);
+  return out.counts.probes > 0;
+}
+
+WindowStats WindowedAggregator::merge_range(const PairState& pair, SimTime from,
+                                            SimTime to) const {
+  LivePair live;
+  read_live(pair, from, to, live);
+  WindowStats out;
+  static_cast<agent::ProbeCounts&>(out) = live.counts;
+  out.window_start = from;
+  out.window_end = to;
+  out.p50_ns = LatencySketch::union_quantile(live.sketches, 0.50);
+  out.p99_ns = LatencySketch::union_quantile(live.sketches, 0.99);
+  out.p999_ns = LatencySketch::union_quantile(live.sketches, 0.999);
   return out;
 }
 
 std::optional<WindowStats> WindowedAggregator::query(PodId src, PodId dst,
                                                      SimTime now) const {
-  SimTime newest_start = now - now % cfg_.sub_window;
-  SimTime from = newest_start - cfg_.sub_window * (cfg_.sub_window_count - 1);
-  return query_range(src, dst, from, newest_start + cfg_.sub_window);
+  auto [from, to] = live_range(now);
+  return query_range(src, dst, from, to);
 }
 
 std::optional<WindowStats> WindowedAggregator::query_range(PodId src, PodId dst,
@@ -105,39 +126,12 @@ std::optional<WindowStats> WindowedAggregator::query_range(PodId src, PodId dst,
   return merge_range(*pair, from, to);
 }
 
-std::vector<WindowedAggregator::PairWindow> WindowedAggregator::snapshot(SimTime now) const {
-  std::vector<PairWindow> out;
-  out.reserve(pairs_.size());
-  for (const auto& [k, pair] : pairs_) {
-    PodId src{static_cast<std::uint32_t>(k >> 32)};
-    PodId dst{static_cast<std::uint32_t>(k & 0xffffffffu)};
-    auto stats = query(src, dst, now);
-    if (!stats || stats->probes == 0) continue;
-    out.push_back(PairWindow{src, dst, *stats});
-  }
-  std::sort(out.begin(), out.end(), [](const PairWindow& a, const PairWindow& b) {
-    return a.src_pod == b.src_pod ? a.dst_pod < b.dst_pod : a.src_pod < b.src_pod;
-  });
-  return out;
-}
-
-std::optional<SimTime> WindowedAggregator::last_success(PodId src, PodId dst) const {
-  const PairState* pair = find(src, dst);
-  if (pair == nullptr || pair->last_success_ts == kUnset) return std::nullopt;
-  return pair->last_success_ts;
-}
-
-std::optional<SimTime> WindowedAggregator::last_probe(PodId src, PodId dst) const {
-  const PairState* pair = find(src, dst);
-  if (pair == nullptr || pair->last_probe_ts == kUnset) return std::nullopt;
-  return pair->last_probe_ts;
-}
-
 std::size_t WindowedAggregator::memory_bytes() const {
+  static const std::size_t sketch_bytes = LatencySketch(agent::kPairCellSketch).memory_bytes();
   std::size_t per_pair = sizeof(PairState) +
                          static_cast<std::size_t>(cfg_.sub_window_count) *
-                             (sizeof(SubWindow) + scratch_.memory_bytes());
-  return sizeof(*this) + pairs_.size() * per_pair;
+                             (sizeof(SubWindow) + sketch_bytes);
+  return sizeof(*this) + pairs_.size() * (per_pair + sizeof(order_.front()));
 }
 
 }  // namespace pingmesh::streaming

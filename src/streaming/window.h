@@ -25,6 +25,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -52,10 +54,24 @@ class WindowedAggregator {
     int sub_window_count = 6;          ///< N slots; horizon = N * W
   };
 
-  struct PairWindow {
+  /// One pair as for_each_live_pair() presents it: the §4.2 counters summed
+  /// over the live sub-windows, the lifetime last success, and the live
+  /// sub-windows' latency sketches, read in place. Valid only for the
+  /// duration of the visitor call.
+  struct LivePair {
     PodId src_pod;
     PodId dst_pod;
-    WindowStats stats;
+    agent::ProbeCounts counts;
+    /// Measurement time of the pair's last success over its whole lifetime
+    /// (silent-pair detection); nullopt if it never had one.
+    std::optional<SimTime> last_success;
+    std::span<const LatencySketch* const> sketches;  ///< the non-empty ones
+
+    /// Median of the live window, equal to query()'s p50_ns, computed from
+    /// the sub-window sketches without merging them.
+    [[nodiscard]] std::int64_t p50() const {
+      return LatencySketch::union_quantile(sketches, 0.5);
+    }
   };
 
   WindowedAggregator(const topo::Topology& topo, Config cfg);
@@ -75,14 +91,22 @@ class WindowedAggregator {
   [[nodiscard]] std::optional<WindowStats> query_range(PodId src, PodId dst, SimTime from,
                                                        SimTime to) const;
 
-  /// Every pair with data in the live horizon, sorted by (src, dst) for
-  /// deterministic iteration.
-  [[nodiscard]] std::vector<PairWindow> snapshot(SimTime now) const;
-
-  /// Measurement time of the last success / last probe seen for a pair over
-  /// its whole lifetime (silent-pair detection). nullopt for unseen pairs.
-  [[nodiscard]] std::optional<SimTime> last_success(PodId src, PodId dst) const;
-  [[nodiscard]] std::optional<SimTime> last_probe(PodId src, PodId dst) const;
+  /// Visit every pair with probes in the live horizon as of `now` (the
+  /// interval query() covers), in (src, dst) order for deterministic
+  /// iteration. Reads the ring in place: no copy, no merged sketch, no sort.
+  /// The visitor must not query this aggregator (the LivePair shares its
+  /// scratch).
+  template <typename Visit>
+  void for_each_live_pair(SimTime now, Visit&& visit) const {
+    auto [from, to] = live_range(now);
+    LivePair live;
+    for (const auto& [k, pair] : order_) {
+      if (!read_live(*pair, from, to, live)) continue;
+      live.src_pod = PodId{static_cast<std::uint32_t>(k >> 32)};
+      live.dst_pod = PodId{static_cast<std::uint32_t>(k & 0xffffffffu)};
+      visit(static_cast<const LivePair&>(live));
+    }
+  }
 
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] SimTime horizon() const {
@@ -106,23 +130,30 @@ class WindowedAggregator {
 
   struct PairState {
     std::vector<SubWindow> ring;
-    SimTime last_probe_ts = kUnset;
     SimTime last_success_ts = kUnset;
-    std::uint64_t lifetime_probes = 0;
   };
 
   static std::uint64_t key(PodId src, PodId dst) {
     return (static_cast<std::uint64_t>(src.value) << 32) | dst.value;
   }
   [[nodiscard]] const PairState* find(PodId src, PodId dst) const;
-  [[nodiscard]] std::optional<WindowStats> merge_range(const PairState& p, SimTime from,
-                                                       SimTime to) const;
+  /// The live interval [from, to) as of `now`: N sub-windows ending with the
+  /// one holding `now`.
+  [[nodiscard]] std::pair<SimTime, SimTime> live_range(SimTime now) const;
+  /// Sum the counters of p's sub-windows starting in [from, to) into `out`
+  /// and point out.sketches at their non-empty sketches. False when no
+  /// probe lands in the range.
+  bool read_live(const PairState& p, SimTime from, SimTime to, LivePair& out) const;
+  [[nodiscard]] WindowStats merge_range(const PairState& p, SimTime from, SimTime to) const;
 
   const topo::Topology* topo_;
   Config cfg_;
   std::unordered_map<std::uint64_t, std::unique_ptr<PairState>> pairs_;
-  /// Scratch sketch reused by queries (driver-thread only, like the rest).
-  mutable LatencySketch scratch_;
+  /// The same pairs sorted by key, i.e. by (src, dst): visiting order.
+  std::vector<std::pair<std::uint64_t, const PairState*>> order_;
+  /// Sketch pointers of the range being read (driver-thread only, like the
+  /// rest); sized once to the ring length.
+  mutable std::vector<const LatencySketch*> parts_;
   std::uint64_t ingested_ = 0;
   std::uint64_t skipped_ = 0;
   std::uint64_t late_dropped_ = 0;

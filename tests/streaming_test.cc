@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -277,6 +279,86 @@ TEST_P(HistogramPropertyTest, QuantilesWithinRelativeError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramPropertyTest, ::testing::Range(1, 13));
+
+/// The sketch's quantile convention worked out from the raw samples: the
+/// representative of the bucket holding the ceil(q * n)-th ranked sample,
+/// clamped to the observed [min, max]. The representative is read from a
+/// probe sketch {1, x, huge}, whose median is x's bucket unclamped.
+std::int64_t sample_rank_quantile(const std::vector<std::int64_t>& v, double q,
+                                  const LatencySketch::Config& geometry) {
+  if (v.empty()) return 0;
+  LatencySketch probe(geometry);
+  probe.record(1);
+  probe.record(exact_rank_quantile(v, q));
+  probe.record(std::numeric_limits<std::int64_t>::max() / 2);
+  auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  return std::clamp(probe.quantile(0.5), *lo, *hi);
+}
+
+// Property sweep: union_quantile over a set of pod-pair-cell sub-window
+// sketches equals merging them into one sketch and taking quantile(q) — the
+// same rank, the same bucket, the same observed min/max clamp — and both
+// equal the convention worked out from the raw samples. Each trial draws 0-6
+// sub-windows; a sub-window is empty, holds one sample, or holds up to 40
+// drawn from a mix that includes values at or below min_value_ns and at or
+// above max_value_ns.
+class UnionQuantilePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnionQuantilePropertyTest, EqualsMergeThenQuantile) {
+  Rng r(static_cast<std::uint64_t>(GetParam()));
+  const LatencySketch::Config geometry = agent::kPairCellSketch;
+  auto draw = [&]() -> std::int64_t {
+    switch (r.uniform_u32(6)) {
+      case 0: return 1 + r.uniform_u32(static_cast<std::uint32_t>(geometry.min_value_ns));
+      case 1: return geometry.max_value_ns + r.uniform_u32(1'000'000'000);
+      case 2: return seconds(3) + r.uniform_u32(50'000'000);  // 3 s retransmit band
+      default: return static_cast<std::int64_t>(r.lognormal(12.4, 0.8));
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<LatencySketch> subs;
+    std::vector<std::int64_t> samples;
+    auto record = [&](LatencySketch& sk) {
+      std::int64_t v = draw();
+      sk.record(v);
+      samples.push_back(v);
+    };
+    auto n = r.uniform_u32(7);
+    subs.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      LatencySketch& sk = subs.emplace_back(geometry);
+      switch (r.uniform_u32(3)) {
+        case 0: break;  // empty
+        case 1: record(sk); break;
+        default:
+          for (std::uint32_t k = 0, m = 2 + r.uniform_u32(39); k < m; ++k) record(sk);
+      }
+    }
+    LatencySketch merged(geometry);
+    std::vector<const LatencySketch*> parts;
+    for (const LatencySketch& sk : subs) {
+      merged.merge(sk);
+      parts.push_back(&sk);
+    }
+    for (double q : {0.5, 0.99}) {
+      EXPECT_EQ(LatencySketch::union_quantile(parts, q), merged.quantile(q))
+          << "seed=" << GetParam() << " trial=" << trial << " parts=" << n << " q=" << q;
+      EXPECT_EQ(merged.quantile(q), sample_rank_quantile(samples, q, geometry))
+          << "seed=" << GetParam() << " trial=" << trial << " q=" << q;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UnionQuantilePropertyTest, ::testing::Range(1, 9));
+
+TEST(LatencySketch, UnionQuantileRejectsGeometryMismatch) {
+  LatencySketch a(agent::kPairCellSketch);
+  LatencySketch b;  // default 1% geometry
+  a.record(micros(200));
+  b.record(micros(300));
+  std::vector<const LatencySketch*> parts = {&a, &b};
+  EXPECT_THROW((void)LatencySketch::union_quantile(parts, 0.5), std::invalid_argument);
+}
 
 // --- WindowedAggregator ------------------------------------------------------
 
@@ -705,6 +787,54 @@ TEST(StreamingDetection, BlackholeCaughtInUnderAMinute) {
   }
 }
 
+TEST(StreamingConfigCheck, SilentAfterBelowProbeIntervalIsRejected) {
+  // default_config probes every 2 minutes: with the detector's 30 s default
+  // nearly every pair would look silent between probe rounds.
+  core::SimulationConfig cfg = core::default_config(1);
+  cfg.streaming.enabled = true;
+  EXPECT_THROW(core::PingmeshSimulation{cfg}, std::invalid_argument);
+  cfg.streaming.detector.silent_after = cfg.generator.intra_dc_interval - seconds(1);
+  EXPECT_THROW(core::PingmeshSimulation{cfg}, std::invalid_argument);
+  cfg.generator.intra_dc_interval = seconds(30);  // intra-pod still 2 min
+  EXPECT_THROW(core::PingmeshSimulation{cfg}, std::invalid_argument);
+  // Streaming off: the detector never runs, nothing to reject.
+  cfg.streaming.enabled = false;
+  EXPECT_NO_THROW(core::PingmeshSimulation{cfg});
+  // The scenario configs that turn streaming on stay valid.
+  EXPECT_NO_THROW(core::PingmeshSimulation{core::streaming_test_config(1)});
+  EXPECT_NO_THROW(core::PingmeshSimulation{core::chaos_test_config(1)});
+  EXPECT_NO_THROW(core::PingmeshSimulation{core::observability_test_config(1)});
+}
+
+TEST(StreamingConfigCheck, TwoMinuteCadenceWithFourMinuteSilenceOpensNoSilentPair) {
+  // default_config's cadences (2-min probe interval, 1-min uploads) on a
+  // small fleet whose pods are big enough (20 servers) that every pod pair
+  // clears min_probes in the 60 s live window, with silent_after at two
+  // missed probe rounds. A fault-free hour must open no silent_pair alert.
+  core::SimulationConfig cfg = core::default_config(3);
+  topo::DcSpec dc;
+  dc.name = "DC1";
+  dc.region = "US West";
+  dc.podsets = 1;
+  dc.pods_per_podset = 4;
+  dc.servers_per_pod = 20;
+  dc.leaves_per_podset = 2;
+  dc.spines = 2;
+  cfg.dcs = {dc};
+  cfg.generator.enable_inter_dc = false;
+  cfg.streaming.enabled = true;
+  cfg.streaming.detector.silent_after = minutes(4);
+  core::PingmeshSimulation sim(cfg);
+  sim.run_for(hours(1));
+
+  std::size_t silent = 0;
+  for (const dsa::AlertRow& a : sim.db().alerts) silent += a.rule == "stream:silent_pair";
+  EXPECT_EQ(silent, 0u);
+  // Not vacuous: all 16 pod pairs were watched, every 10 s.
+  EXPECT_EQ(sim.streaming()->windows().pair_count(), 16u);
+  EXPECT_GE(sim.streaming()->detector().evaluations(), 360u);
+}
+
 TEST(StreamingDeterminism, WorkerCountDoesNotChangeStreamingResults) {
   // The tap runs in the serial upload-drain phase and the detector on the
   // driver thread: the whole streaming path must be bit-identical for any
@@ -739,6 +869,86 @@ TEST(StreamingDeterminism, WorkerCountDoesNotChangeStreamingResults) {
       EXPECT_EQ(a->successes, b->successes);
       EXPECT_EQ(a->p99_ns, b->p99_ns);
     }
+  }
+}
+
+/// Order-sensitive FNV-1a over every field of every alert row.
+class AlertDigest {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void str(const std::string& s) {
+    std::uint64_t n = s.size();
+    bytes(&n, sizeof(n));
+    bytes(s.data(), s.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+struct AlertStream {
+  std::uint64_t digest = 0;
+  std::size_t rows = 0;
+  std::size_t silent_rows = 0;
+  std::size_t drop_rows = 0;
+  std::uint64_t closed = 0;
+};
+
+/// One sim-hour of streaming_test_config with a full ToR black-hole
+/// (20-40 min) and a 12% spine silent drop (30-45 min), digesting the whole
+/// db.alerts sequence: time, severity, rule, scope, value and message.
+AlertStream run_alert_stream(int workers) {
+  core::SimulationConfig cfg = core::streaming_test_config(42);
+  cfg.worker_threads = workers;
+  core::PingmeshSimulation sim(cfg);
+  const topo::Topology& topo = sim.topology();
+  std::vector<SwitchId> spines = topo.switches_in_dc(DcId{0}, topo::SwitchKind::kSpine);
+  sim.faults().add_blackhole(topo.pod(PodId{3}).tor, netsim::BlackholeMode::kSrcDstPair, 1.0,
+                             minutes(20), minutes(40), /*salt=*/42);
+  sim.faults().add_silent_random_drop(spines.at(1), 0.12, minutes(30), minutes(45));
+  sim.run_for(hours(1));
+
+  AlertStream out;
+  AlertDigest d;
+  for (const dsa::AlertRow& a : sim.db().alerts) {
+    d.bytes(&a.time, sizeof(a.time));
+    auto severity = static_cast<std::uint64_t>(a.severity);
+    d.bytes(&severity, sizeof(severity));
+    d.str(a.rule);
+    d.str(a.scope);
+    d.bytes(&a.value, sizeof(a.value));
+    d.str(a.message);
+    if (a.rule == "stream:silent_pair") ++out.silent_rows;
+    if (a.rule == "stream:drop_spike") ++out.drop_rows;
+  }
+  out.digest = d.value();
+  out.rows = sim.db().alerts.size();
+  out.closed = sim.streaming()->detector().alerts_closed();
+  return out;
+}
+
+TEST(StreamingAlertStream, DigestMatchesReferenceAt1And4Workers) {
+  // Captured from the program before the detector evaluated windows in
+  // place (snapshot + merged sketch per pair, strings built every
+  // evaluation); see CHANGES.md. Any change to which alert opens when, or
+  // to a row's text, moves it.
+  constexpr std::uint64_t kReference = 0xa62f0fd647acb982ull;  // 58 rows
+  for (int workers : {1, 4}) {
+    AlertStream s = run_alert_stream(workers);
+    EXPECT_EQ(s.digest, kReference) << "workers=" << workers << " digest=0x" << std::hex
+                                    << s.digest << std::dec << " rows=" << s.rows;
+    // The run exercises both fault shapes and the close path, so the digest
+    // covers more than an empty table.
+    EXPECT_GT(s.silent_rows, 0u) << "workers=" << workers;
+    EXPECT_GT(s.drop_rows, 0u) << "workers=" << workers;
+    EXPECT_GT(s.closed, 0u) << "workers=" << workers;
   }
 }
 
